@@ -326,12 +326,28 @@ impl<'a> Rewriter<'a> {
         let mut slots: Vec<Option<CandidateOutcome>> = vec![None; survivors.len()];
         let chunk = survivors.len().div_ceil(workers);
         std::thread::scope(|scope| {
-            for (idx_chunk, slot_chunk) in survivors.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (&i, slot) in idx_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        *slot = Some(self.attempt(query, asts[i]));
-                    }
-                });
+            let run = move |idx_chunk: &[usize], slot_chunk: &mut [Option<CandidateOutcome>]| {
+                for (&i, slot) in idx_chunk.iter().zip(slot_chunk.iter_mut()) {
+                    *slot = Some(self.attempt(query, asts[i]));
+                }
+            };
+            let mut chunks = survivors.chunks(chunk).zip(slots.chunks_mut(chunk));
+            // The calling thread takes the first chunk itself instead of
+            // spawning and then idling at the join.
+            let first = chunks.next();
+            let workers: Vec<_> = chunks
+                .map(|(idx_chunk, slot_chunk)| scope.spawn(move || run(idx_chunk, slot_chunk)))
+                .collect();
+            if let Some((idx_chunk, slot_chunk)) = first {
+                run(idx_chunk, slot_chunk);
+            }
+            // Join explicitly: waiting for each thread to exit hands its
+            // allocator arena back before the next sweep spawns, so a
+            // stream of sweeps does not keep creating arenas.
+            for w in workers {
+                if let Err(panic) = w.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         for (&i, slot) in survivors.iter().zip(slots) {

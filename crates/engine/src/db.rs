@@ -1,14 +1,22 @@
-//! In-memory table storage: row store plus a lazy columnar cache.
+//! In-memory table storage: row store plus a cached columnar view.
 //!
 //! Rows remain the source of truth (`rows()` is still a zero-cost slice
 //! borrow), but scans in the columnar executor read a [`ColumnarTable`]:
 //! typed per-column vectors with a null bitmap and dictionary-encoded
-//! strings. Columnar views are built lazily on first use and cached per
-//! *modification epoch*, so any mutation invalidates them automatically.
+//! strings. A view is built on first use and cached against the table's
+//! *modification epoch*. Row-level mutations carry it from one epoch to the
+//! next instead of dropping it: [`Database::insert`] appends to it,
+//! [`Database::remove_rows`] applies the same keep-mask to it as to the
+//! rows, and [`Database::replace_rows`] does both. Edits are copy-on-write,
+//! so an executor still holding the previous `Arc` keeps reading the
+//! previous contents. A value that does not fit a column's typed layout
+//! (a NULL into a `Date`/`Bool` column, a type that would make the column
+//! mixed) and wholesale replacement ([`Database::put_table`]) drop the view;
+//! the next scan rebuilds it.
 
 use crate::program::Cell;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, PoisonError};
 use sumtab_catalog::{Catalog, CatalogError, Date, SqlType, Value};
 
 /// A row of values.
@@ -21,10 +29,14 @@ enum ColData {
     Double(Vec<f64>),
     Bool(Vec<bool>),
     Date(Vec<Date>),
-    /// Dictionary-encoded strings: `codes[i]` indexes into `dict`.
+    /// Dictionary-encoded strings: `codes[i]` indexes into `dict`. Each
+    /// string appears in `dict` at most once (aggregation groups strings by
+    /// code); entries whose rows were removed may linger.
     Str {
         codes: Vec<u32>,
         dict: Vec<String>,
+        /// String → code, built on the first append and kept up to date.
+        lookup: Option<HashMap<String, u32>>,
     },
     /// Fallback for mixed-type or all-NULL columns.
     Mixed(Vec<Value>),
@@ -93,7 +105,7 @@ impl ColumnVec {
             ColData::Double(v) => Cell::Double(v[i]),
             ColData::Bool(v) => Cell::Bool(v[i]),
             ColData::Date(v) => Cell::Date(v[i]),
-            ColData::Str { codes, dict } => Cell::Str(dict[codes[i] as usize].as_str()),
+            ColData::Str { codes, dict, .. } => Cell::Str(dict[codes[i] as usize].as_str()),
             ColData::Mixed(v) => Cell::of(&v[i]),
         }
     }
@@ -110,7 +122,7 @@ impl ColumnVec {
             ColData::Double(v) => ColSlice::Double(v),
             ColData::Bool(v) => ColSlice::Bool(v),
             ColData::Date(v) => ColSlice::Date(v),
-            ColData::Str { codes, dict } => ColSlice::Str { codes, dict },
+            ColData::Str { codes, dict, .. } => ColSlice::Str { codes, dict },
             ColData::Mixed(v) => ColSlice::Mixed(v),
         }
     }
@@ -120,9 +132,128 @@ impl ColumnVec {
     pub fn null_words(&self) -> Option<&[u64]> {
         self.nulls.as_deref()
     }
+
+    /// Append `v` as row `i` (the current length). Returns false when `v`
+    /// does not fit the typed layout — where [`ColumnarTable::from_rows`]
+    /// would pick another representation — leaving the column unusable.
+    fn push(&mut self, i: usize, v: &Value) -> bool {
+        let null = v.is_null();
+        let fits = match (&mut self.data, v) {
+            (ColData::Int(d), Value::Int(x)) => {
+                d.push(*x);
+                true
+            }
+            (ColData::Int(d), Value::Null) => {
+                d.push(0);
+                true
+            }
+            (ColData::Double(d), Value::Double(x)) => {
+                d.push(*x);
+                true
+            }
+            (ColData::Double(d), Value::Null) => {
+                d.push(0.0);
+                true
+            }
+            (ColData::Bool(d), Value::Bool(b)) => {
+                d.push(*b);
+                true
+            }
+            (ColData::Date(d), Value::Date(x)) => {
+                d.push(*x);
+                true
+            }
+            (ColData::Str { codes, .. }, Value::Null) => {
+                codes.push(0);
+                true
+            }
+            (
+                ColData::Str {
+                    codes,
+                    dict,
+                    lookup,
+                },
+                Value::Str(s),
+            ) => {
+                let lookup = lookup.get_or_insert_with(|| {
+                    dict.iter()
+                        .enumerate()
+                        .map(|(k, s)| (s.clone(), k as u32))
+                        .collect()
+                });
+                let code = match lookup.get(s.as_str()) {
+                    Some(&k) => Some(k),
+                    // Bound the strings removed rows left behind: past
+                    // this size a rebuild compacts the dictionary.
+                    None if dict.len() > 2 * i + 64 => None,
+                    None => {
+                        let k = dict.len() as u32;
+                        dict.push(s.clone());
+                        lookup.insert(s.clone(), k);
+                        Some(k)
+                    }
+                };
+                code.map(|k| codes.push(k)).is_some()
+            }
+            // A NULL keeps a mixed or all-NULL column what it is; a value
+            // might make it typed, which only a rebuild can decide.
+            (ColData::Mixed(d), Value::Null) => {
+                d.push(Value::Null);
+                true
+            }
+            _ => false,
+        };
+        let words = (i + 1).div_ceil(64);
+        if null && !matches!(self.data, ColData::Mixed(_)) {
+            let bits = self.nulls.get_or_insert_with(Vec::new);
+            bits.resize(words, 0);
+            bits[i / 64] |= 1 << (i % 64);
+        } else if let Some(bits) = &mut self.nulls {
+            bits.resize(words, 0);
+        }
+        fits
+    }
+
+    /// Keep exactly the rows whose `keep` entry is true, in order.
+    fn retain(&mut self, keep: &[bool]) {
+        match &mut self.data {
+            ColData::Int(d) => retain_mask(d, keep),
+            ColData::Double(d) => retain_mask(d, keep),
+            ColData::Bool(d) => retain_mask(d, keep),
+            ColData::Date(d) => retain_mask(d, keep),
+            ColData::Str { codes, .. } => retain_mask(codes, keep),
+            ColData::Mixed(d) => retain_mask(d, keep),
+        }
+        let Some(old) = self.nulls.take() else {
+            return;
+        };
+        let kept = keep.iter().filter(|&&k| k).count();
+        let mut bits = vec![0u64; kept.div_ceil(64)];
+        let mut j = 0;
+        for (i, &k) in keep.iter().enumerate() {
+            if k {
+                if null_bit(Some(&old), i) {
+                    bits[j / 64] |= 1 << (j % 64);
+                }
+                j += 1;
+            }
+        }
+        if bits.iter().any(|&w| w != 0) {
+            self.nulls = Some(bits);
+        }
+    }
 }
 
-/// A columnar view of one table, rebuilt from the row store per epoch.
+/// Keep the elements of `v` whose `keep` entry is true (`keep` is as long
+/// as `v`).
+fn retain_mask<T>(v: &mut Vec<T>, keep: &[bool]) {
+    // `retain` visits every element exactly once, in order.
+    let mut keep = keep.iter();
+    v.retain(|_| keep.next().copied().unwrap_or(true));
+}
+
+/// A columnar view of one table, built from the row store and carried
+/// across row-level mutations (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ColumnarTable {
     cols: Vec<ColumnVec>,
@@ -173,6 +304,37 @@ impl ColumnarTable {
         for c in &self.cols {
             out.push(c.value(row));
         }
+    }
+
+    /// Append `rows` in place. Returns false when a row does not fit the
+    /// typed layout; the table is then partially extended and must be
+    /// discarded.
+    fn append(&mut self, rows: &[Row]) -> bool {
+        if self.len == 0 && self.cols.is_empty() {
+            // A view of an empty table has no columns to extend.
+            *self = ColumnarTable::from_rows(rows);
+            return true;
+        }
+        for row in rows {
+            if row.len() != self.cols.len() {
+                return false;
+            }
+            for (c, v) in self.cols.iter_mut().zip(row) {
+                if !c.push(self.len, v) {
+                    return false;
+                }
+            }
+            self.len += 1;
+        }
+        true
+    }
+
+    /// Keep exactly the rows whose `keep` entry is true, in order.
+    fn retain(&mut self, keep: &[bool]) {
+        for c in &mut self.cols {
+            c.retain(keep);
+        }
+        self.len = keep.iter().filter(|&&k| k).count();
     }
 }
 
@@ -253,7 +415,11 @@ fn build_column(rows: &[Row], c: usize) -> ColumnVec {
                     }
                 }
             }
-            ColData::Str { codes, dict }
+            ColData::Str {
+                codes,
+                dict,
+                lookup: None,
+            }
         }
         Some(SqlType::Date) | Some(SqlType::Bool) if nulls_present(rows, c) => {
             ColData::Mixed(rows.iter().map(|r| r[c].clone()).collect())
@@ -420,10 +586,12 @@ impl Database {
         let validated = Database::validate_rows(catalog, table, rows)?;
         let n = validated.len();
         let key = t.name.clone();
-        self.tables
-            .entry(key.clone())
-            .or_default()
-            .extend(validated);
+        let epoch = self.epoch(&key);
+        let stored = self.tables.entry(key.clone()).or_default();
+        let start = stored.len();
+        stored.extend(validated);
+        let added = &stored[start..];
+        carry_view(&mut self.columnar, &key, epoch, |t| t.append(added));
         self.bump(&key);
         Ok(n)
     }
@@ -433,27 +601,18 @@ impl Database {
     /// removed; the epoch is bumped only when at least one row went away.
     pub fn remove_rows(&mut self, table: &str, victims: &[Row]) -> usize {
         let key = table.to_ascii_lowercase();
-        let mut budget: HashMap<&Row, usize> = HashMap::new();
-        for v in victims {
-            *budget.entry(v).or_insert(0) += 1;
-        }
-        let removed = match self.tables.get_mut(&key) {
-            Some(rows) => {
-                let before = rows.len();
-                rows.retain(|r| match budget.get_mut(r) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                });
-                before - rows.len()
-            }
-            None => 0,
+        let Some(stored) = self.tables.get_mut(&key) else {
+            return 0;
         };
-        if removed > 0 {
-            self.bump(&key);
-        }
+        let Some((keep, removed)) = remove_victims(stored, victims) else {
+            return 0;
+        };
+        let epoch = self.epoch(&key);
+        carry_view(&mut self.columnar, &key, epoch, |t| {
+            t.retain(&keep);
+            true
+        });
+        self.bump(&key);
         removed
     }
 
@@ -473,23 +632,20 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(table.into()))?;
         let validated = Database::validate_rows(catalog, table, new)?;
         let key = t.name.clone();
-        let mut budget: HashMap<&Row, usize> = HashMap::new();
-        for v in old {
-            *budget.entry(v).or_insert(0) += 1;
-        }
-        let rows = self.tables.entry(key.clone()).or_default();
-        let before = rows.len();
-        rows.retain(|r| match budget.get_mut(r) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                false
+        let epoch = self.epoch(&key);
+        let stored = self.tables.entry(key.clone()).or_default();
+        let removal = remove_victims(stored, old);
+        let start = stored.len();
+        stored.extend(validated);
+        let added = &stored[start..];
+        carry_view(&mut self.columnar, &key, epoch, |t| {
+            if let Some((keep, _)) = &removal {
+                t.retain(keep);
             }
-            _ => true,
+            t.append(added)
         });
-        let removed = before - rows.len();
-        rows.extend(validated);
         self.bump(&key);
-        Ok(removed)
+        Ok(removal.map_or(0, |(_, removed)| removed))
     }
 
     /// Replace a table's rows wholesale (no validation; caller guarantees
@@ -497,6 +653,17 @@ impl Database {
     pub fn put_table(&mut self, table: &str, rows: Vec<Row>) {
         let key = table.to_ascii_lowercase();
         self.tables.insert(key.clone(), rows);
+        self.drop_view(&key);
+        self.bump(&key);
+    }
+
+    /// Edit a table's rows in place, bumping its epoch and dropping its
+    /// cached columnar view. No validation, like [`Database::put_table`]:
+    /// meant for derived data such as summary-table backing rows.
+    pub fn modify_rows(&mut self, table: &str, edit: impl FnOnce(&mut Vec<Row>)) {
+        let key = table.to_ascii_lowercase();
+        edit(self.tables.entry(key.clone()).or_default());
+        self.drop_view(&key);
         self.bump(&key);
     }
 
@@ -517,6 +684,7 @@ impl Database {
     pub fn drop_table(&mut self, table: &str) {
         let key = table.to_ascii_lowercase();
         self.tables.remove(&key);
+        self.drop_view(&key);
         self.bump(&key);
     }
 
@@ -547,9 +715,10 @@ impl Database {
             .collect()
     }
 
-    /// The columnar view of a table, built on first use and cached until
-    /// the table's epoch changes. The `Arc` keeps the view alive across an
-    /// executor run even if the cache entry is replaced concurrently.
+    /// The columnar view of a table, built on first use and cached against
+    /// the table's epoch (row-level mutations carry it forward; see the
+    /// module docs). The `Arc` keeps the view alive across an executor run
+    /// even if the table is mutated meanwhile.
     pub fn columnar(&self, table: &str) -> Arc<ColumnarTable> {
         let key = table.to_ascii_lowercase();
         let epoch = self.epoch(&key);
@@ -573,11 +742,22 @@ impl Database {
         *self.epochs.entry(key.to_string()).or_insert(0) += 1;
     }
 
+    /// Forget a table's cached columnar view.
+    fn drop_view(&mut self, key: &str) {
+        self.columnar
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(key);
+    }
+
     /// Bump a table's modification epoch without touching its data — the
     /// durable-invalidation hook: consumers that snapshotted the old epoch
     /// (summary staleness, cached plans) see the table as modified.
     pub fn bump_epoch(&mut self, table: &str) {
-        self.bump(&table.to_ascii_lowercase());
+        let key = table.to_ascii_lowercase();
+        let epoch = self.epoch(&key);
+        carry_view(&mut self.columnar, &key, epoch, |_| true);
+        self.bump(&key);
     }
 
     /// Export the full storage state — every table's rows plus every
@@ -585,12 +765,24 @@ impl Database {
     /// serialization. Feed the result to [`Database::restore_state`] to
     /// rebuild an identical database (same data, same epochs).
     pub fn export_state(&self) -> (TableData, TableEpochs) {
-        let mut data: TableData = self
+        let (data, epochs) = self.borrow_state();
+        let data = data
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_vec()))
+            .collect();
+        (data, epochs)
+    }
+
+    /// [`Database::export_state`] without copying any rows: every table's
+    /// rows borrowed, plus every modification epoch, both sorted by table
+    /// name.
+    pub fn borrow_state(&self) -> (Vec<(&str, &[Row])>, TableEpochs) {
+        let mut data: Vec<(&str, &[Row])> = self
             .tables
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.as_str(), v.as_slice()))
             .collect();
-        data.sort_by(|a, b| a.0.cmp(&b.0));
+        data.sort_by(|a, b| a.0.cmp(b.0));
         let mut epochs: TableEpochs = self.epochs.iter().map(|(k, &e)| (k.clone(), e)).collect();
         epochs.sort_by(|a, b| a.0.cmp(&b.0));
         (data, epochs)
@@ -609,11 +801,118 @@ impl Database {
             .into_iter()
             .map(|(k, e)| (k.to_ascii_lowercase(), e))
             .collect();
-        match self.columnar.lock() {
-            Ok(mut g) => g.clear(),
-            Err(poisoned) => poisoned.into_inner().clear(),
+        self.columnar
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+}
+
+/// The columnar view cache: table → (epoch the view reflects, view).
+type ViewCache = Mutex<HashMap<String, (u64, Arc<ColumnarTable>)>>;
+
+/// Carry `key`'s cached view from `epoch` to `epoch + 1` through a mutation
+/// (the caller bumps the epoch next). `edit` changes the view in place —
+/// copy-on-write when an executor still holds it — and returns false when
+/// the change does not fit; a stale or unfitting view is dropped, and the
+/// next scan rebuilds it.
+fn carry_view(
+    cache: &mut ViewCache,
+    key: &str,
+    epoch: u64,
+    edit: impl FnOnce(&mut ColumnarTable) -> bool,
+) {
+    let cache = cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+    let carried = match cache.get_mut(key) {
+        Some((e, view)) if *e == epoch => {
+            // Claim the next epoch before editing: an edit that panics
+            // leaves a view no current epoch matches, so it is rebuilt.
+            *e = epoch + 1;
+            edit(Arc::make_mut(view))
+        }
+        _ => false,
+    };
+    if !carried {
+        cache.remove(key);
+    }
+}
+
+/// Victim sets up to this size are matched by plain row equality; larger
+/// ones are bucketed by one key column first.
+const LINEAR_VICTIMS: usize = 16;
+
+/// Remove `victims` from `rows` as a multiset — each victim cancels exactly
+/// one stored copy, the earliest — in one linear pass that compares rows by
+/// value and hashes no stored row whole. Returns the keep-mask that was
+/// applied and the number of rows removed, or `None` when nothing matched
+/// (and `rows` is untouched).
+fn remove_victims(rows: &mut Vec<Row>, victims: &[Row]) -> Option<(Vec<bool>, usize)> {
+    if victims.is_empty() {
+        return None;
+    }
+    let mut keep = vec![true; rows.len()];
+    let mut removed = 0;
+    // Mark row `i` removed; true once every victim is accounted for.
+    let mut drop_row = |i: usize| {
+        keep[i] = false;
+        removed += 1;
+        removed == victims.len()
+    };
+    let bucket_by = if victims.len() > LINEAR_VICTIMS {
+        key_column(victims)
+    } else {
+        None
+    };
+    match bucket_by {
+        Some(c) => {
+            // Victims bucketed by their most selective column: a stored row
+            // costs one cell hash plus full compares within its bucket.
+            let mut buckets: HashMap<&Value, Vec<&Row>> = HashMap::new();
+            for v in victims {
+                buckets.entry(&v[c]).or_default().push(v);
+            }
+            for (i, r) in rows.iter().enumerate() {
+                let Some(bucket) = r.get(c).and_then(|k| buckets.get_mut(k)) else {
+                    continue;
+                };
+                if let Some(p) = bucket.iter().position(|v| *v == r) {
+                    bucket.swap_remove(p);
+                    if drop_row(i) {
+                        break;
+                    }
+                }
+            }
+        }
+        None => {
+            let mut pending: Vec<&Row> = victims.iter().collect();
+            for (i, r) in rows.iter().enumerate() {
+                if let Some(p) = pending.iter().position(|v| *v == r) {
+                    pending.swap_remove(p);
+                    if drop_row(i) {
+                        break;
+                    }
+                }
+            }
         }
     }
+    if removed == 0 {
+        return None;
+    }
+    retain_mask(rows, &keep);
+    Some((keep, removed))
+}
+
+/// The column with the most distinct values among `victims` (the earliest
+/// on ties); `None` for zero-width victims.
+fn key_column(victims: &[Row]) -> Option<usize> {
+    let width = victims.iter().map(Vec::len).min()?;
+    (0..width).rev().max_by_key(|&c| {
+        victims
+            .iter()
+            .map(|v| &v[c])
+            .collect::<HashSet<&Value>>()
+            .len()
+    })
 }
 
 #[cfg(test)]
@@ -743,6 +1042,154 @@ mod tests {
         // Clones start with a cold columnar cache but identical data.
         let db2 = db.clone();
         assert_eq!(db2.columnar("t").len(), 2);
+    }
+
+    fn trans_row(tid: i64, qty: i64) -> Row {
+        vec![
+            Value::Int(tid),
+            Value::Int(10),
+            Value::Int(20),
+            Value::Int(30),
+            Value::Date(Date::parse("1995-06-01").unwrap()),
+            Value::Int(qty),
+            Value::Double(100.0),
+            Value::Double(0.1),
+        ]
+    }
+
+    /// The cached view of `table`, if one is cached for the current epoch.
+    fn cached_view(db: &Database, table: &str) -> Option<Arc<ColumnarTable>> {
+        let cache = db.columnar.lock().unwrap();
+        match cache.get(table) {
+            Some((e, v)) if *e == db.epoch(table) => Some(Arc::clone(v)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn row_mutations_carry_the_view_in_place() {
+        let c = cat();
+        let mut db = Database::new();
+        db.insert(&c, "trans", vec![trans_row(1, 5), trans_row(2, 6)])
+            .unwrap();
+        let first = Arc::as_ptr(&db.columnar("trans"));
+        db.insert(&c, "trans", vec![trans_row(3, 7)]).unwrap();
+        db.remove_rows("trans", &[trans_row(1, 5)]);
+        db.replace_rows(&c, "trans", &[trans_row(2, 6)], vec![trans_row(2, 8)])
+            .unwrap();
+        db.bump_epoch("trans");
+        let view = cached_view(&db, "trans").expect("carried to the current epoch");
+        assert_eq!(Arc::as_ptr(&view), first, "edited in place, not rebuilt");
+        assert_eq!(view.len(), 2);
+        assert_eq!(view.columns()[0].value(0), Value::Int(3));
+        assert_eq!(view.columns()[5].value(1), Value::Int(8));
+
+        // A held view is copied on write and keeps the old contents.
+        db.insert(&c, "trans", vec![trans_row(4, 9)]).unwrap();
+        assert_eq!(view.len(), 2);
+        assert_eq!(db.columnar("trans").len(), 3);
+
+        // Wholesale replacement drops the view instead of carrying it.
+        db.put_table("trans", vec![trans_row(9, 9)]);
+        assert!(cached_view(&db, "trans").is_none());
+    }
+
+    #[test]
+    fn unfitting_values_drop_the_view() {
+        let mut db = Database::new();
+        let date = Value::Date(Date::parse("1995-06-01").unwrap());
+        let mut c = Catalog::new();
+        c.add_table(sumtab_catalog::Table::new(
+            "t",
+            vec![
+                sumtab_catalog::Column::new("k", SqlType::Int),
+                sumtab_catalog::Column::nullable("d", SqlType::Date),
+            ],
+        ))
+        .unwrap();
+        db.insert(&c, "t", vec![vec![Value::Int(1), date.clone()]])
+            .unwrap();
+        drop(db.columnar("t"));
+        db.insert(&c, "t", vec![vec![Value::Int(2), date]]).unwrap();
+        assert!(cached_view(&db, "t").is_some(), "a date fits a date column");
+        // A NULL date has no typed placeholder: rebuild as a mixed column.
+        db.insert(&c, "t", vec![vec![Value::Int(3), Value::Null]])
+            .unwrap();
+        assert!(cached_view(&db, "t").is_none());
+        let view = db.columnar("t");
+        assert!(matches!(view.columns()[1].slice(), ColSlice::Mixed(_)));
+        assert_eq!(view.columns()[1].value(2), Value::Null);
+    }
+
+    #[test]
+    fn removal_cancels_one_copy_per_victim() {
+        let c = cat();
+        let mut db = Database::new();
+        let twin = trans_row(1, 5);
+        db.insert(
+            &c,
+            "trans",
+            vec![twin.clone(), trans_row(2, 6), twin.clone()],
+        )
+        .unwrap();
+        drop(db.columnar("trans"));
+        let e = db.epoch("trans");
+        assert_eq!(db.remove_rows("trans", std::slice::from_ref(&twin)), 1);
+        assert_eq!(db.rows("trans"), &[trans_row(2, 6), twin.clone()]);
+        assert_eq!(db.epoch("trans"), e + 1);
+        assert_eq!(db.columnar("trans").len(), 2);
+
+        // Nothing matched: no removal and no epoch bump.
+        assert_eq!(db.remove_rows("trans", &[trans_row(7, 7)]), 0);
+        assert_eq!(db.remove_rows("trans", &[]), 0);
+        assert_eq!(db.remove_rows("absent", std::slice::from_ref(&twin)), 0);
+        assert_eq!(db.epoch("trans"), e + 1);
+        assert_eq!(db.epoch("absent"), 0);
+
+        // Two victim copies against one stored copy remove just that one.
+        let two = [twin.clone(), twin.clone()];
+        assert_eq!(db.remove_rows("trans", &two), 1);
+        assert_eq!(db.rows("trans"), &[trans_row(2, 6)]);
+
+        // replace_rows: one of two identical rows is replaced.
+        db.insert(&c, "trans", vec![twin.clone(), twin.clone()])
+            .unwrap();
+        let n = db
+            .replace_rows(
+                &c,
+                "trans",
+                std::slice::from_ref(&twin),
+                vec![trans_row(1, 50)],
+            )
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(
+            db.rows("trans"),
+            &[trans_row(2, 6), twin.clone(), trans_row(1, 50)]
+        );
+        let view = db.columnar("trans");
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.columns()[5].value(2), Value::Int(50));
+    }
+
+    #[test]
+    fn bulk_victim_sets_match_by_value_with_duplicates() {
+        let c = cat();
+        let mut db = Database::new();
+        // 40 distinct rows, each stored twice, with a shared first column so
+        // the bucketing has to pick a better key column.
+        let rows: Vec<Row> = (0..80).map(|i| trans_row(1, i % 40)).collect();
+        db.insert(&c, "trans", rows).unwrap();
+        drop(db.columnar("trans"));
+        // Every distinct row once, plus three extra copies of row 0 (only
+        // one more stored copy exists) and a row that is not stored.
+        let mut victims: Vec<Row> = (0..40).rev().map(|i| trans_row(1, i)).collect();
+        victims.extend([trans_row(1, 0), trans_row(1, 0), trans_row(1, 0)]);
+        victims.push(trans_row(2, 0));
+        assert_eq!(db.remove_rows("trans", &victims), 41);
+        let want: Vec<Row> = (41..80).map(|i| trans_row(1, i % 40)).collect();
+        assert_eq!(db.rows("trans"), want.as_slice());
+        assert_eq!(db.columnar("trans").len(), 39);
     }
 
     #[test]

@@ -325,20 +325,23 @@ where
         // The calling thread takes the first chunk itself instead of
         // spawning and then idling at the join.
         let first = chunks.next();
-        for (w, chunk) in chunks {
-            let f = &f;
-            s.spawn(move || {
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let m = w * per + j;
-                    *slot = Some(f(m, m * morsel..((m + 1) * morsel).min(n)));
-                }
-            });
-        }
+        let workers: Vec<_> = chunks
+            .map(|(w, chunk)| {
+                let f = &f;
+                s.spawn(move || {
+                    for (j, slot) in chunk.iter_mut().enumerate() {
+                        let m = w * per + j;
+                        *slot = Some(f(m, m * morsel..((m + 1) * morsel).min(n)));
+                    }
+                })
+            })
+            .collect();
         if let Some((_, chunk)) = first {
             for (m, slot) in chunk.iter_mut().enumerate() {
                 *slot = Some(f(m, m * morsel..((m + 1) * morsel).min(n)));
             }
         }
+        join_all(workers);
     });
     slots.into_iter().flatten().collect()
 }
@@ -380,21 +383,40 @@ where
         let mut chunks = item_chunks.into_iter();
         // The calling thread takes the first chunk itself.
         let first = chunks.next().zip(slot_chunks.next());
-        for (w, (chunk, slot_chunk)) in (1..).zip(chunks.zip(slot_chunks)) {
-            let f = &f;
-            s.spawn(move || {
-                for (j, (item, slot)) in chunk.into_iter().zip(slot_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(w * per + j, item));
-                }
-            });
-        }
+        let workers: Vec<_> = (1..)
+            .zip(chunks.zip(slot_chunks))
+            .map(|(w, (chunk, slot_chunk))| {
+                let f = &f;
+                s.spawn(move || {
+                    for (j, (item, slot)) in
+                        chunk.into_iter().zip(slot_chunk.iter_mut()).enumerate()
+                    {
+                        *slot = Some(f(w * per + j, item));
+                    }
+                })
+            })
+            .collect();
         if let Some((chunk, slot_chunk)) = first {
             for (j, (item, slot)) in chunk.into_iter().zip(slot_chunk.iter_mut()).enumerate() {
                 *slot = Some(f(j, item));
             }
         }
+        join_all(workers);
     });
     slots.into_iter().flatten().collect()
+}
+
+/// Join scoped workers explicitly, re-raising a worker's panic. The scope
+/// alone only waits for the worker closures to return; joining also waits
+/// for each thread to exit, which hands its allocator arena back before the
+/// next parallel step spawns — otherwise a fast stream of short parallel
+/// steps keeps creating arenas, and each stays resident.
+fn join_all(workers: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for w in workers {
+        if let Err(panic) = w.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@
 //! validated, returning a typed [`CodecError`]; the recovery path treats
 //! any decode failure on a checksummed payload as corruption.
 
+use std::borrow::Cow;
+use std::io::Read;
 use sumtab_catalog::{Column, Date, ForeignKey, SqlType, SummaryTableDef, Table, Value};
 
 /// FNV-1a 64-bit offset basis.
@@ -20,12 +22,35 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The FNV-1a 64-bit hash of `bytes` — the checksum used by both the WAL
 /// record frames and the snapshot file trailer.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a64::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// A running FNV-1a 64-bit hash, for checksumming bytes that stream past
+/// in pieces: equal to [`fnv1a64`] of their concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Fnv1a64 {
+        Fnv1a64(FNV_OFFSET)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Hash `bytes` after everything hashed so far.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A decode failure: where and why the payload stopped making sense.
@@ -126,21 +151,51 @@ impl Enc {
     }
 }
 
-/// A bounds-checked cursor over an encoded payload.
+/// A bounds-checked cursor over an encoded payload of known length: held
+/// in memory ([`Dec::new`]) or pulled from a reader in chunks
+/// ([`Dec::streaming`]).
 pub struct Dec<'a> {
-    buf: &'a [u8],
+    /// The bytes at hand: the whole payload, or the chunk read last.
+    win: Cow<'a, [u8]>,
+    /// Offset in `win` of the next unconsumed byte.
+    at: usize,
+    /// The reader a streaming cursor pulls chunks from.
+    src: Option<&'a mut dyn Read>,
     pos: usize,
+    len: usize,
 }
+
+/// Bytes a streaming [`Dec`] pulls from its reader at a time.
+const CHUNK: usize = 1 << 16;
 
 impl<'a> Dec<'a> {
     /// A cursor at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec {
+            win: Cow::Borrowed(buf),
+            at: 0,
+            src: None,
+            pos: 0,
+            len: buf.len(),
+        }
+    }
+
+    /// A cursor over the next `len` bytes of `src`, read in chunks and
+    /// never past those `len` bytes. A read error surfaces as
+    /// [`CodecError::UnexpectedEof`].
+    pub fn streaming(src: &'a mut dyn Read, len: usize) -> Dec<'a> {
+        Dec {
+            win: Cow::Owned(Vec::new()),
+            at: 0,
+            src: Some(src),
+            pos: 0,
+            len,
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.len - self.pos
     }
 
     /// Error unless the payload was fully consumed.
@@ -153,16 +208,50 @@ impl<'a> Dec<'a> {
         Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEof {
-                at: self.pos,
-                wanted: n,
-            });
+    /// Consume the rest of the payload unread (a streaming cursor still
+    /// reads it from its source).
+    pub fn skip_rest(&mut self) -> Result<(), CodecError> {
+        while self.remaining() > 0 {
+            self.take(self.remaining().min(CHUNK))?;
         }
-        let s = &self.buf[self.pos..self.pos + n];
+        Ok(())
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[u8], CodecError> {
+        if self.win.len() - self.at < n {
+            self.refill(n)?;
+        }
+        let at = self.at;
+        self.at += n;
         self.pos += n;
-        Ok(s)
+        Ok(&self.win[at..at + n])
+    }
+
+    /// Make `n` bytes available at `at`: keep the unconsumed tail of the
+    /// window and append the next chunk of the stream.
+    #[cold]
+    fn refill(&mut self, n: usize) -> Result<(), CodecError> {
+        let eof = CodecError::UnexpectedEof {
+            at: self.pos,
+            wanted: n,
+        };
+        let held = self.win.len() - self.at;
+        let enough = self.remaining() >= n;
+        let unread = self.remaining() - held;
+        let (Some(src), true) = (&mut self.src, enough) else {
+            return Err(eof);
+        };
+        let mut chunk = std::mem::take(&mut self.win).into_owned();
+        chunk.drain(..self.at);
+        self.at = 0;
+        let more = (n - held).max(CHUNK).min(unread);
+        chunk.resize(held + more, 0);
+        let read = src.read_exact(&mut chunk[held..]);
+        if read.is_err() {
+            chunk.truncate(held);
+        }
+        self.win = Cow::Owned(chunk);
+        read.map_err(|_| eof)
     }
 
     /// Read one byte.
@@ -451,6 +540,46 @@ pub fn decode_summary(d: &mut Dec<'_>) -> Result<SummaryTableDef, CodecError> {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests assert on fixed inputs
 mod tests {
     use super::*;
+
+    #[test]
+    fn streaming_decode_matches_in_memory_and_stops_at_len() {
+        // Strings of varying length, so fields straddle chunk boundaries.
+        let rows: Vec<Vec<Value>> = (0..5000)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Str("x".repeat((i % 97) as usize)),
+                    Value::Null,
+                ]
+            })
+            .collect();
+        let mut e = Enc::new();
+        encode_rows(&mut e, &rows);
+        let payload = e.buf;
+        assert!(payload.len() > 3 * CHUNK);
+        assert_eq!(decode_rows(&mut Dec::new(&payload)).unwrap(), rows);
+
+        let mut file = payload.clone();
+        file.extend_from_slice(b"trailer!");
+        let mut src: &[u8] = &file;
+        let mut d = Dec::streaming(&mut src, payload.len());
+        assert_eq!(decode_rows(&mut d).unwrap(), rows);
+        d.finish().unwrap();
+        assert_eq!(src, b"trailer!", "the cursor reads no byte past its length");
+
+        // Skipping reads the rest too; a short stream is a typed error.
+        let mut src: &[u8] = &file;
+        let mut d = Dec::streaming(&mut src, payload.len());
+        d.u64().unwrap();
+        d.skip_rest().unwrap();
+        assert_eq!(src, b"trailer!");
+        let mut short: &[u8] = &payload[..payload.len() / 2];
+        let mut d = Dec::streaming(&mut short, payload.len());
+        assert!(matches!(
+            decode_rows(&mut d),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {

@@ -48,7 +48,7 @@ pub mod wal;
 
 pub use codec::CodecError;
 pub use retry::RetryPolicy;
-pub use snapshot::SnapshotState;
+pub use snapshot::{SnapshotRef, SnapshotState};
 pub use wal::{ScanOutcome, Wal, WalOptions, WalRecord};
 
 /// Any failure the persistence layer can surface. IO errors are flattened

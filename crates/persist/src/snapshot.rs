@@ -10,9 +10,10 @@
 //!
 //! ## Atomicity
 //!
-//! [`write_snapshot`] writes `snapshot.tmp`, fsyncs it, atomically renames
-//! it over `snapshot.bin`, then best-effort fsyncs the directory. A crash at
-//! any point leaves either the old snapshot or the new one — never a blend —
+//! [`write_snapshot`] (or [`write_snapshot_ref`], its borrowed-input twin)
+//! writes `snapshot.tmp`, fsyncs it, atomically renames it over
+//! `snapshot.bin`, then best-effort fsyncs the directory. A crash at any
+//! point leaves either the old snapshot or the new one — never a blend —
 //! because readers only ever open `snapshot.bin`.
 //!
 //! The snapshot records `last_lsn`, the LSN of the last WAL record its
@@ -25,10 +26,11 @@
 //! can never be loaded — it is not `snapshot.bin`); `snapshot-rename` fails
 //! the rename, leaving the previous snapshot authoritative.
 
-use crate::codec::{self, Dec, Enc};
+use crate::codec::{self, Dec, Enc, Fnv1a64};
 use crate::retry::{self, RetryPolicy};
 use crate::{failpoint, PersistError};
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Write};
 use std::path::Path;
 use sumtab_catalog::{ForeignKey, SummaryTableDef, Table, Value};
 
@@ -64,34 +66,60 @@ pub struct SnapshotState {
     pub ast_epochs: Vec<(String, Vec<(String, u64)>)>,
 }
 
-fn encode_state(s: &SnapshotState) -> Vec<u8> {
-    let mut e = Enc::new();
+/// A borrowed [`SnapshotState`]: the form the encoder reads, so a live
+/// session can snapshot its tables without first cloning their rows.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotRef<'a> {
+    /// LSN of the last WAL record this snapshot covers (0 = none).
+    pub last_lsn: u64,
+    /// The facade's AST/plan-cache generation at snapshot time.
+    pub generation: u64,
+    /// Every table schema, base and summary-backing alike.
+    pub tables: &'a [Table],
+    /// Declared RI constraints.
+    pub foreign_keys: &'a [ForeignKey],
+    /// Summary-table definitions (name + defining SQL).
+    pub summaries: &'a [SummaryTableDef],
+    /// Row data per table name, including materialized summary contents.
+    pub data: &'a [(&'a str, &'a [Vec<Value>])],
+    /// Modification epoch per table name.
+    pub epochs: &'a [(String, u64)],
+    /// Per-AST base-table epoch snapshots: `(ast name, [(base, epoch)])`.
+    pub ast_epochs: &'a [(String, Vec<(String, u64)>)],
+}
+
+/// Encode the whole snapshot file — magic, payload, checksum trailer — into
+/// one buffer.
+fn encode_file(s: &SnapshotRef<'_>) -> Vec<u8> {
+    let mut e = Enc {
+        buf: SNAP_MAGIC.to_vec(),
+    };
     e.u64(s.last_lsn);
     e.u64(s.generation);
     e.len_of(s.tables.len());
-    for t in &s.tables {
+    for t in s.tables {
         codec::encode_table(&mut e, t);
     }
     e.len_of(s.foreign_keys.len());
-    for fk in &s.foreign_keys {
+    for fk in s.foreign_keys {
         codec::encode_fk(&mut e, fk);
     }
     e.len_of(s.summaries.len());
-    for st in &s.summaries {
+    for st in s.summaries {
         codec::encode_summary(&mut e, st);
     }
     e.len_of(s.data.len());
-    for (name, rows) in &s.data {
+    for (name, rows) in s.data {
         e.str(name);
         codec::encode_rows(&mut e, rows);
     }
     e.len_of(s.epochs.len());
-    for (name, epoch) in &s.epochs {
+    for (name, epoch) in s.epochs {
         e.str(name);
         e.u64(*epoch);
     }
     e.len_of(s.ast_epochs.len());
-    for (name, bases) in &s.ast_epochs {
+    for (name, bases) in s.ast_epochs {
         e.str(name);
         e.len_of(bases.len());
         for (base, epoch) in bases {
@@ -99,33 +127,34 @@ fn encode_state(s: &SnapshotState) -> Vec<u8> {
             e.u64(*epoch);
         }
     }
+    let checksum = codec::fnv1a64(&e.buf[SNAP_MAGIC.len()..]);
+    e.u64(checksum);
     e.buf
 }
 
-fn decode_state(payload: &[u8]) -> Result<SnapshotState, PersistError> {
-    let mut d = Dec::new(payload);
+fn decode_state(d: &mut Dec<'_>) -> Result<SnapshotState, PersistError> {
     let last_lsn = d.u64()?;
     let generation = d.u64()?;
     let n = d.count()?;
     let mut tables = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        tables.push(codec::decode_table(&mut d)?);
+        tables.push(codec::decode_table(d)?);
     }
     let n = d.count()?;
     let mut foreign_keys = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        foreign_keys.push(codec::decode_fk(&mut d)?);
+        foreign_keys.push(codec::decode_fk(d)?);
     }
     let n = d.count()?;
     let mut summaries = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        summaries.push(codec::decode_summary(&mut d)?);
+        summaries.push(codec::decode_summary(d)?);
     }
     let n = d.count()?;
     let mut data = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
         let name = d.str()?;
-        let rows = codec::decode_rows(&mut d)?;
+        let rows = codec::decode_rows(d)?;
         data.push((name, rows));
     }
     let n = d.count()?;
@@ -162,21 +191,46 @@ fn decode_state(payload: &[u8]) -> Result<SnapshotState, PersistError> {
 }
 
 /// Write `state` to `dir/snapshot.bin` via the write-temp → fsync → rename
-/// protocol, under the given retry policy.
-///
-/// Fail points: `snapshot-write` truncates the temp-file write partway and
-/// errors; `snapshot-rename` fails the rename. In both cases the previous
-/// `snapshot.bin` (if any) remains authoritative and untouched.
+/// protocol, under the given retry policy. Same bytes as
+/// [`write_snapshot_ref`] over the borrowed form of `state`.
 pub fn write_snapshot(
     dir: &Path,
     state: &SnapshotState,
     policy: RetryPolicy,
 ) -> Result<(), PersistError> {
-    let payload = encode_state(state);
-    let mut bytes = Vec::with_capacity(SNAP_MAGIC.len() + payload.len() + 8);
-    bytes.extend_from_slice(SNAP_MAGIC);
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&codec::fnv1a64(&payload).to_le_bytes());
+    let data: Vec<(&str, &[Vec<Value>])> = state
+        .data
+        .iter()
+        .map(|(name, rows)| (name.as_str(), rows.as_slice()))
+        .collect();
+    write_snapshot_ref(
+        dir,
+        &SnapshotRef {
+            last_lsn: state.last_lsn,
+            generation: state.generation,
+            tables: &state.tables,
+            foreign_keys: &state.foreign_keys,
+            summaries: &state.summaries,
+            data: &data,
+            epochs: &state.epochs,
+            ast_epochs: &state.ast_epochs,
+        },
+        policy,
+    )
+}
+
+/// Write a borrowed snapshot to `dir/snapshot.bin` via the write-temp →
+/// fsync → rename protocol, under the given retry policy.
+///
+/// Fail points: `snapshot-write` truncates the temp-file write partway and
+/// errors; `snapshot-rename` fails the rename. In both cases the previous
+/// `snapshot.bin` (if any) remains authoritative and untouched.
+pub fn write_snapshot_ref(
+    dir: &Path,
+    state: &SnapshotRef<'_>,
+    policy: RetryPolicy,
+) -> Result<(), PersistError> {
+    let bytes = encode_file(state);
     let tmp = dir.join(SNAP_TMP);
     let dst = dir.join(SNAP_FILE);
     retry::with_backoff(policy, |_| {
@@ -212,40 +266,101 @@ pub fn write_snapshot(
 /// Read `dir/snapshot.bin`. `Ok(None)` when no snapshot exists; a typed
 /// [`PersistError::Corrupt`] when one exists but fails magic, checksum, or
 /// decode validation — a corrupt snapshot is **never** partially loaded.
+///
+/// The file is decoded as it streams in, checksummed on the way, so
+/// recovery never holds the encoded bytes and the decoded state at once.
+/// Verdicts keep their precedence: magic, then checksum, then decoding.
 pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotState>, PersistError> {
     let path = dir.join(SNAP_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(PersistError::io(format!("read {}", path.display()), &e)),
+    let read_err = |e: &std::io::Error| PersistError::io(format!("read {}", path.display()), e);
+    let corrupt = |detail: String| PersistError::Corrupt {
+        what: "snapshot",
+        detail,
     };
-    if bytes.len() < SNAP_MAGIC.len() + 8 || &bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(PersistError::Corrupt {
-            what: "snapshot",
-            detail: format!(
-                "bad or missing magic in {} ({} bytes)",
-                path.display(),
-                bytes.len()
-            ),
-        });
+    let file = match File::open(&path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(read_err(&e)),
+    };
+    let len = file.metadata().map_err(|e| read_err(&e))?.len();
+    let size = usize::try_from(len)
+        .map_err(|_| corrupt(format!("{} is {len} bytes, too large", path.display())))?;
+    let bad_magic = || {
+        corrupt(format!(
+            "bad or missing magic in {} ({size} bytes)",
+            path.display()
+        ))
+    };
+    if size < SNAP_MAGIC.len() + 8 {
+        return Err(bad_magic());
     }
-    let payload = &bytes[SNAP_MAGIC.len()..bytes.len() - 8];
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&bytes[bytes.len() - 8..]);
-    let stored = u64::from_le_bytes(a);
-    if codec::fnv1a64(payload) != stored {
-        return Err(PersistError::Corrupt {
-            what: "snapshot",
-            detail: format!("checksum mismatch in {}", path.display()),
-        });
+    let mut src = Checksummed {
+        inner: file,
+        pos: 0,
+        payload: SNAP_MAGIC.len()..size - 8,
+        hash: Fnv1a64::default(),
+        error: None,
+    };
+    let mut magic = [0u8; 8];
+    let magic_read = src.read_exact(&mut magic);
+    if let Some(e) = src.error.take() {
+        return Err(read_err(&e));
     }
-    decode_state(payload).map(Some).map_err(|e| match e {
-        PersistError::Corrupt { detail, .. } => PersistError::Corrupt {
-            what: "snapshot",
-            detail,
-        },
+    if magic_read.is_err() || &magic != SNAP_MAGIC {
+        return Err(bad_magic());
+    }
+    let mut d = Dec::streaming(&mut src, size - SNAP_MAGIC.len() - 8);
+    let decoded = decode_state(&mut d);
+    // Read whatever the decoder left (it stops at the first error), so the
+    // checksum verdict covers the whole payload.
+    let drained = d.skip_rest();
+    let mut trailer = [0u8; 8];
+    let trailer_read = src.read_exact(&mut trailer);
+    if let Some(e) = src.error.take() {
+        return Err(read_err(&e));
+    }
+    drained.map_err(|e| corrupt(format!("{} ended early: {e}", path.display())))?;
+    trailer_read.map_err(|e| read_err(&e))?;
+    if src.hash.finish() != u64::from_le_bytes(trailer) {
+        return Err(corrupt(format!("checksum mismatch in {}", path.display())));
+    }
+    decoded.map(Some).map_err(|e| match e {
+        PersistError::Corrupt { detail, .. } => corrupt(detail),
         other => other,
     })
+}
+
+/// A file reader that checksums the bytes at offsets in `payload` as they
+/// pass, and keeps the first IO error so the caller can report it as one
+/// rather than as a decode failure.
+struct Checksummed {
+    inner: File,
+    /// File offset of the next byte read.
+    pos: usize,
+    payload: std::ops::Range<usize>,
+    hash: Fnv1a64,
+    error: Option<std::io::Error>,
+}
+
+impl Read for Checksummed {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.inner.read(buf) {
+            Ok(n) => {
+                let lo = self.payload.start.clamp(self.pos, self.pos + n);
+                let hi = self.payload.end.clamp(self.pos, self.pos + n);
+                self.hash.update(&buf[lo - self.pos..hi - self.pos]);
+                self.pos += n;
+                Ok(n)
+            }
+            Err(e) => {
+                let kind = e.kind();
+                if kind != std::io::ErrorKind::Interrupted {
+                    self.error.get_or_insert(e);
+                }
+                Err(kind.into())
+            }
+        }
+    }
 }
 
 #[cfg(test)]

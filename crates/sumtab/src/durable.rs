@@ -42,13 +42,13 @@
 use crate::{AppliedOp, SummarySession};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use sumtab_catalog::{Catalog, Table};
+use sumtab_catalog::{Catalog, SummaryTableDef, Table};
 use sumtab_engine::session::StatementResult;
 use sumtab_engine::{Database, Row, SumtabError};
 use sumtab_parser::parse_statements;
-use sumtab_persist::snapshot::{self, SnapshotState};
+use sumtab_persist::snapshot::{self, SnapshotRef, SnapshotState};
 use sumtab_persist::wal::{self, Wal, WalRecord};
-use sumtab_persist::{PersistError, WalOptions};
+use sumtab_persist::{PersistError, RetryPolicy, WalOptions};
 
 /// WAL file name inside a durability directory.
 pub const WAL_FILE: &str = "wal.bin";
@@ -413,8 +413,7 @@ impl DurableSession {
                 message: "session is in ephemeral mode".to_string(),
             });
         };
-        let state = build_snapshot_state(&self.inner, w.last_lsn());
-        snapshot::write_snapshot(&self.dir, &state, self.opts.wal.retry)?;
+        write_session_snapshot(&self.dir, &self.inner, w.last_lsn(), self.opts.wal.retry)?;
         // A failed reset is harmless: the snapshot's LSN makes recovery
         // skip every record the log still holds.
         let _ = w.reset();
@@ -518,31 +517,41 @@ impl DurableSession {
     }
 }
 
-/// Serialize the full session state for a snapshot covering `last_lsn`.
-fn build_snapshot_state(s: &SummarySession, last_lsn: u64) -> SnapshotState {
-    let (data, epochs) = s.session.db.export_state();
-    SnapshotState {
+/// Write the full session state as a snapshot covering `last_lsn`. Table
+/// rows are encoded straight from the database, never cloned.
+fn write_session_snapshot(
+    dir: &Path,
+    s: &SummarySession,
+    last_lsn: u64,
+    policy: RetryPolicy,
+) -> Result<(), PersistError> {
+    let catalog = &s.session.catalog;
+    let tables: Vec<Table> = catalog.tables().cloned().collect();
+    let summaries: Vec<SummaryTableDef> = catalog.summary_tables().cloned().collect();
+    let ast_epochs: Vec<(String, Vec<(String, u64)>)> = s
+        .ast_states()
+        .iter()
+        .map(|st| {
+            let bases = st
+                .base_epochs
+                .iter()
+                .map(|(k, &v)| (k.clone(), v))
+                .collect();
+            (st.ast.name.clone(), bases)
+        })
+        .collect();
+    let (data, epochs) = s.session.db.borrow_state();
+    let state = SnapshotRef {
         last_lsn,
         generation: s.plan_generation(),
-        tables: s.session.catalog.tables().cloned().collect(),
-        foreign_keys: s.session.catalog.foreign_keys().to_vec(),
-        summaries: s.session.catalog.summary_tables().cloned().collect(),
-        data,
-        epochs,
-        ast_epochs: s
-            .ast_states()
-            .iter()
-            .map(|st| {
-                (
-                    st.ast.name.clone(),
-                    st.base_epochs
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), v))
-                        .collect(),
-                )
-            })
-            .collect(),
-    }
+        tables: &tables,
+        foreign_keys: catalog.foreign_keys(),
+        summaries: &summaries,
+        data: &data,
+        epochs: &epochs,
+        ast_epochs: &ast_epochs,
+    };
+    snapshot::write_snapshot_ref(dir, &state, policy)
 }
 
 /// Rebuild a session from a decoded snapshot. Epochs and per-AST epoch

@@ -25,7 +25,9 @@
 //! backing rows must equal a from-scratch recomputation, or the caller
 //! degrades to a refresh.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher};
 use sumtab_catalog::{Catalog, Value};
 use sumtab_engine::{execute, Database, Row};
 use sumtab_qgm::{
@@ -211,6 +213,63 @@ fn delta_aggregation(
     execute(exec_graph, &delta_db)
 }
 
+/// Refuse a backing table whose width does not match the plan — legacy
+/// backing data without the hidden counter, or other drift. A refresh
+/// re-materializes it through the exec graph.
+fn width_drift(backing: &[Row], plan: &MaintenancePlan) -> Option<DeltaOutcome> {
+    let w = backing.first()?.len();
+    (w != plan.ops.len()).then(|| {
+        DeltaOutcome::NeedsRefresh(format!(
+            "backing rows have {w} columns, plan expects {}",
+            plan.ops.len()
+        ))
+    })
+}
+
+/// How the delta's groups line up with the backing rows.
+struct GroupMatch {
+    /// Delta row → its slot: the first delta row with an equal key.
+    slot_of: Vec<usize>,
+    /// Slot → the last backing row with that key, if any.
+    target: Vec<Option<usize>>,
+}
+
+/// Match delta groups to backing rows by key without indexing the backing
+/// table: only the delta's (few) keys are hashed into a map, and one pass
+/// over the backing rows probes it, hashing each row's key cells in place.
+fn match_groups(backing: &[Row], delta: &[Row], key_idx: &[usize]) -> GroupMatch {
+    let seed = RandomState::new();
+    let hash = |row: &Row| {
+        let mut h = seed.build_hasher();
+        for &k in key_idx {
+            row[k].hash(&mut h);
+        }
+        h.finish()
+    };
+    let same_key = |a: &Row, b: &Row| key_idx.iter().all(|&k| a[k] == b[k]);
+    let mut slots: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut slot_of = Vec::with_capacity(delta.len());
+    for (d, row) in delta.iter().enumerate() {
+        let bucket = slots.entry(hash(row)).or_default();
+        match bucket.iter().find(|&&s| same_key(&delta[s], row)) {
+            Some(&s) => slot_of.push(s),
+            None => {
+                bucket.push(d);
+                slot_of.push(d);
+            }
+        }
+    }
+    let mut target = vec![None; delta.len()];
+    for (i, row) in backing.iter().enumerate() {
+        if let Some(bucket) = slots.get(&hash(row)) {
+            if let Some(&s) = bucket.iter().find(|&&s| same_key(&delta[s], row)) {
+                target[s] = Some(i);
+            }
+        }
+    }
+    GroupMatch { slot_of, target }
+}
+
 /// Apply an append incrementally: aggregate the delta rows and merge them
 /// into the backing rows in `db` under `ast_name`. Reports
 /// [`DeltaOutcome::NeedsRefresh`] (without modifying anything) when the
@@ -224,38 +283,31 @@ pub fn apply_append(
     db: &mut Database,
 ) -> Result<DeltaOutcome, sumtab_engine::ExecError> {
     let delta = delta_aggregation(exec_graph, table, delta_rows, db)?;
-    let mut backing = db.rows(ast_name).to_vec();
-    if let Some(w) = backing.first().map(Vec::len) {
-        if w != plan.ops.len() {
-            // Legacy backing data without the hidden counter (or other
-            // drift): a refresh re-materializes through the exec graph.
-            return Ok(DeltaOutcome::NeedsRefresh(format!(
-                "backing rows have {w} columns, plan expects {}",
-                plan.ops.len()
-            )));
-        }
+    let backing = db.rows(ast_name);
+    if let Some(refusal) = width_drift(backing, plan) {
+        return Ok(refusal);
     }
-    let key_idx = key_ordinals(plan);
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(backing.len());
-    for (i, row) in backing.iter().enumerate() {
-        index.insert(key_idx.iter().map(|&k| row[k].clone()).collect(), i);
-    }
-    for drow in delta {
-        let key: Vec<Value> = key_idx.iter().map(|&k| drow[k].clone()).collect();
-        match index.get(&key) {
-            Some(&i) => {
-                let row = &mut backing[i];
-                for (c, op) in plan.ops.iter().enumerate() {
-                    row[c] = merge_value(*op, &row[c], &drow[c]);
+    let GroupMatch {
+        slot_of,
+        mut target,
+    } = match_groups(backing, &delta, &key_ordinals(plan));
+    db.modify_rows(ast_name, |backing| {
+        for (drow, slot) in delta.into_iter().zip(slot_of) {
+            match target[slot] {
+                Some(i) => {
+                    let row = &mut backing[i];
+                    for (c, op) in plan.ops.iter().enumerate() {
+                        row[c] = merge_value(*op, &row[c], &drow[c]);
+                    }
+                }
+                // A new group; later delta rows with its key merge into it.
+                None => {
+                    target[slot] = Some(backing.len());
+                    backing.push(drow);
                 }
             }
-            None => {
-                index.insert(key, backing.len());
-                backing.push(drow);
-            }
         }
-    }
-    db.put_table(ast_name, backing);
+    });
     Ok(DeltaOutcome::Applied)
 }
 
@@ -284,28 +336,18 @@ pub fn apply_delete(
         ));
     };
     let delta = delta_aggregation(exec_graph, table, removed_rows, db)?;
-    let mut backing = db.rows(ast_name).to_vec();
-    if let Some(w) = backing.first().map(Vec::len) {
-        if w != plan.ops.len() {
-            return Ok(DeltaOutcome::NeedsRefresh(format!(
-                "backing rows have {w} columns, plan expects {}",
-                plan.ops.len()
-            )));
-        }
+    let backing = db.rows(ast_name);
+    if let Some(refusal) = width_drift(backing, plan) {
+        return Ok(refusal);
     }
-    let key_idx = key_ordinals(plan);
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::with_capacity(backing.len());
-    for (i, row) in backing.iter().enumerate() {
-        index.insert(key_idx.iter().map(|&k| row[k].clone()).collect(), i);
-    }
+    let GroupMatch { slot_of, target } = match_groups(backing, &delta, &key_ordinals(plan));
 
     // Plan the whole merge before touching `backing`, so a refusal midway
     // leaves the stored state untouched.
     let mut drop = vec![false; backing.len()];
     let mut merged: Vec<(usize, Row)> = Vec::with_capacity(delta.len());
-    for drow in &delta {
-        let key: Vec<Value> = key_idx.iter().map(|&k| drow[k].clone()).collect();
-        let Some(&i) = index.get(&key) else {
+    for (drow, slot) in delta.iter().zip(slot_of) {
+        let Some(i) = target[slot] else {
             return Ok(DeltaOutcome::NeedsRefresh(
                 "deleted rows belong to a group missing from the backing table".to_string(),
             ));
@@ -371,16 +413,15 @@ pub fn apply_delete(
         }
         merged.push((i, new_row));
     }
-    for (i, row) in merged {
-        backing[i] = row;
-    }
-    let backing: Vec<Row> = backing
-        .into_iter()
-        .zip(drop)
-        .filter(|(_, d)| !d)
-        .map(|(r, _)| r)
-        .collect();
-    db.put_table(ast_name, backing);
+    db.modify_rows(ast_name, |backing| {
+        for (i, row) in merged {
+            backing[i] = row;
+        }
+        if drop.contains(&true) {
+            let mut drop = drop.into_iter();
+            backing.retain(|_| !drop.next().unwrap_or(false));
+        }
+    });
     Ok(DeltaOutcome::Applied)
 }
 
@@ -468,7 +509,11 @@ fn sub_value(current: &Value, delta: &Value) -> Option<Value> {
     match (current, delta) {
         (c, Value::Null) => Some(c.clone()),
         (Value::Null, _) => None,
-        (c, d) => Some(sumtab_engine::eval::eval_binary(sumtab_qgm::BinOp::Sub, c, d)),
+        (c, d) => Some(sumtab_engine::eval::eval_binary(
+            sumtab_qgm::BinOp::Sub,
+            c,
+            d,
+        )),
     }
 }
 
@@ -577,13 +622,69 @@ mod tests {
         assert!(m.plan_for("loc").is_some());
     }
 
+    fn trans_row(tid: i64, faid: i64, qty: i64) -> Row {
+        vec![
+            Value::Int(tid),
+            Value::Int(faid),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Date(sumtab_catalog::Date::parse("1995-06-01").unwrap()),
+            Value::Int(qty),
+            Value::Double(10.0),
+            Value::Double(0.1),
+        ]
+    }
+
+    #[test]
+    fn merges_touch_only_delta_groups_and_refusals_touch_nothing() {
+        let cat = Catalog::credit_card_sample();
+        let g = graph_of(
+            "select faid, count(*) as c, sum(qty) as s from trans group by faid",
+            &cat,
+        );
+        let m = analyze_ast(&g, &cat);
+        let plan = m.plan_for("trans").unwrap();
+        let (a, b, c) = (trans_row(1, 1, 5), trans_row(2, 1, 7), trans_row(3, 2, 9));
+        let mut db = Database::new();
+        db.insert(&cat, "trans", vec![a.clone(), b.clone(), c.clone()])
+            .unwrap();
+        let backing = execute(&m.exec_graph, &db).unwrap();
+        db.put_table("st", backing);
+
+        // A deleted row whose group is not stored: refused, nothing moves.
+        let (rows, epoch) = (db.rows("st").to_vec(), db.epoch("st"));
+        let ghost = trans_row(9, 3, 1);
+        let out = apply_delete(&m.exec_graph, &plan, "st", "trans", &[ghost], &mut db).unwrap();
+        assert!(matches!(out, DeltaOutcome::NeedsRefresh(_)), "{out:?}");
+        assert_eq!((db.rows("st"), db.epoch("st")), (rows.as_slice(), epoch));
+
+        // Shrink group 1 and empty group 2 in one delete.
+        db.remove_rows("trans", &[a.clone(), c.clone()]);
+        let out = apply_delete(&m.exec_graph, &plan, "st", "trans", &[a, c], &mut db).unwrap();
+        assert_eq!(out, DeltaOutcome::Applied);
+        assert_eq!(
+            db.rows("st"),
+            &[vec![Value::Int(1), Value::Int(1), Value::Int(7)]]
+        );
+        check_equivalence(&m.exec_graph, "st", &db).unwrap();
+
+        // An append merging into group 1 and opening groups 2 and 4.
+        let new = vec![trans_row(4, 1, 1), trans_row(5, 4, 2), trans_row(6, 2, 3)];
+        db.insert(&cat, "trans", new.clone()).unwrap();
+        let out = apply_append(&m.exec_graph, &plan, "st", "trans", &new, &mut db).unwrap();
+        assert_eq!(out, DeltaOutcome::Applied);
+        assert_eq!(
+            db.rows("st")[0],
+            vec![Value::Int(1), Value::Int(2), Value::Int(8)]
+        );
+        assert_eq!(db.row_count("st"), 3);
+        check_equivalence(&m.exec_graph, "st", &db).unwrap();
+    }
+
     #[test]
     fn verify_rejects_drifted_plans() {
         let cat = Catalog::credit_card_sample();
-        let g = graph_of(
-            "select faid, count(*) as c from trans group by faid",
-            &cat,
-        );
+        let g = graph_of("select faid, count(*) as c from trans group by faid", &cat);
         let m = analyze_ast(&g, &cat);
         let mut plan = m.plan_for("trans").unwrap();
         plan.ops.push(ColumnOp::Key);

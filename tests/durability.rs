@@ -97,6 +97,60 @@ fn round_trip_recovers_full_session() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The session snapshots through the borrowed encoder; the owned entry
+/// point (`write_snapshot` over a `SnapshotState` assembled from the public
+/// accessors) must write the very same bytes for the same state.
+#[test]
+fn borrowed_and_owned_snapshot_writers_agree_byte_for_byte() {
+    let _serial = serialize();
+    let dir = tmp_dir("snapbytes");
+    let mut s = DurableSession::open(&dir).unwrap();
+    s.run_script(SETUP).unwrap();
+    s.run_script(
+        "create table u (x int not null, y varchar); \
+         insert into t values (1, 10), (1, 20), (2, 30), (3, 40); \
+         insert into u values (7, 'a'), (8, null); \
+         delete from t where v = 20; update t set v = 5 where k = 3",
+    )
+    .unwrap();
+    s.snapshot_now().unwrap();
+    let live = std::fs::read(dir.join(snapshot::SNAP_FILE)).unwrap();
+    let last_lsn = snapshot::read_snapshot(&dir).unwrap().unwrap().last_lsn;
+
+    let ss = s.session();
+    let (data, epochs) = ss.session.db.export_state();
+    let state = snapshot::SnapshotState {
+        last_lsn,
+        generation: ss.plan_generation(),
+        tables: ss.session.catalog.tables().cloned().collect(),
+        foreign_keys: ss.session.catalog.foreign_keys().to_vec(),
+        summaries: ss.session.catalog.summary_tables().cloned().collect(),
+        data,
+        epochs,
+        ast_epochs: ss
+            .ast_states()
+            .iter()
+            .map(|st| {
+                let bases = st
+                    .base_epochs
+                    .iter()
+                    .map(|(k, &v)| (k.clone(), v))
+                    .collect();
+                (st.ast.name.clone(), bases)
+            })
+            .collect(),
+    };
+    let other = tmp_dir("snapbytes-owned");
+    std::fs::create_dir_all(&other).unwrap();
+    snapshot::write_snapshot(&other, &state, sumtab::persist::RetryPolicy::none()).unwrap();
+    let owned = std::fs::read(other.join(snapshot::SNAP_FILE)).unwrap();
+    assert!(live.len() > 100, "snapshot holds the tables");
+    assert!(live == owned, "owned and borrowed encoders disagree");
+    drop(s);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&other).ok();
+}
+
 /// Kill/restart at each IO fail point: arm the point for exactly one
 /// trigger mid-workload, crash, recover, and check the consistent-prefix
 /// contract plus summary/base agreement.
